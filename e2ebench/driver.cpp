@@ -9,12 +9,14 @@
 //          served from the report cache) and `fresh` (never-repeated seeds,
 //          executed on the service pool).
 //   dist   fixed-work slices of an elastic cas_run hunt with checkpoints
-//          on, alternating a 2-rank and a 4-rank world over the same slice.
+//          on, alternating a 2-rank and a 3-rank world over the same slice.
 //
 // Every workload has a heavy and a light operation class (see README.md)
 // and reports the same end-to-end metrics; --trace 1 runs the same
 // workload with spans recorded around every call into a layer and reports
-// the per-layer metrics instead. The last stdout line is the result JSON.
+// the per-layer metrics it measures instead (run.py reports the layers a
+// workload does not exercise as 0). The last stdout line is the result
+// JSON.
 //
 //   e2e_driver --workload paper --seed 1 --seconds 30 --trace 0
 //              --bin-dir BUILD --work-dir DIR
@@ -49,11 +51,11 @@
 
 #include "checks.hpp"
 #include "common.hpp"
+#include "core/candidate_batch.hpp"
 #include "core/rng.hpp"
 #include "costas/model.hpp"
 #include "dist/ckpt.hpp"
 #include "runtime/runtime.hpp"
-#include "simd/costas_kernels.hpp"
 #include "util/json.hpp"
 
 namespace fs = std::filesystem;
@@ -79,8 +81,10 @@ constexpr double kTable1Hi = 2.5;
 // Seeds re-solved after the timed phases to prove determinism.
 constexpr int kPaperResolve = 4;
 
-// serve: hot requests are cache-served Table I solves; fresh ones are
-// small orders so each connection completes thousands per run.
+// serve: hot requests are small deterministic solves (order 10, below
+// Table I's orders, so they warm in milliseconds) served from the cache;
+// fresh ones are small orders so each connection completes thousands per
+// run.
 constexpr int kHotOrder = 10;
 constexpr int kHotRequests = 8;
 constexpr int kFreshOrder = 13;
@@ -95,6 +99,14 @@ constexpr uint64_t kDistCkptIters = 10000;
 constexpr uint64_t kDistEpochs = 6;
 constexpr int kDistHeavyRanks = 2;
 constexpr int kDistLightRanks = 3;
+
+// Set-up of every workload starts with a fixed-work warm-up: a queue of
+// bounded solves of an order no solve of this length finishes, one in
+// flight per core. Its work does not depend on the seed or on luck, and
+// an aggregate over every core repeats better than one short hunt.
+constexpr int kWarmOrder = 20;
+constexpr int kWarmSolves = 96;
+constexpr uint64_t kWarmIters = 3000;
 
 const Clock::time_point g_start = Clock::now();
 
@@ -215,7 +227,7 @@ struct Metric {
 
 struct Run {
   uint64_t seed = 1;
-  double seconds = 10;
+  double seconds = 0;
   bool trace = false;
   fs::path bin_dir;
   fs::path work_dir;
@@ -351,33 +363,6 @@ class Child {
 // the workload's own seeds.
 // ---------------------------------------------------------------------------
 
-/// A board state with the Costas model's difference-triangle tables built
-/// here from the permutation (Chang's depth, quadratic ERR), so the SIMD
-/// kernel can be called through its public entry.
-struct Board {
-  int n = 0, depth = 0;
-  size_t stride = 0;
-  std::vector<int> perm;
-  std::vector<int32_t> occ;
-  std::vector<int64_t> errw;
-
-  explicit Board(std::vector<int> p) : n(static_cast<int>(p.size())), perm(std::move(p)) {
-    depth = (n - 1) / 2;
-    stride = static_cast<size_t>(2 * n - 1);
-    occ.assign(static_cast<size_t>(std::max(depth, 1)) * stride, 0);
-    errw.assign(static_cast<size_t>(depth) + 1, 0);
-    for (int d = 1; d <= depth; ++d) {
-      errw[static_cast<size_t>(d)] = static_cast<int64_t>(n) * n - static_cast<int64_t>(d) * d;
-      for (int a = 0; a + d < n; ++a)
-        ++occ[static_cast<size_t>(d - 1) * stride +
-              static_cast<size_t>(perm[static_cast<size_t>(a + d)] - perm[static_cast<size_t>(a)] + n - 1)];
-    }
-  }
-  [[nodiscard]] cas::simd::CostasCtx ctx() const {
-    return {perm.data(), occ.data(), errw.data(), n, depth, stride};
-  }
-};
-
 std::vector<int> random_perm(int n, uint64_t seed) {
   cas::costas::CostasProblem p(n);
   cas::core::Rng rng(seed);
@@ -392,29 +377,21 @@ double time_loop(Fn&& fn) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// simd.* and costas.* per-call timings on `boards` board states of order n.
+/// simd.* and costas.* per-call timings on board states of order n. The
+/// kernels are timed through the model's own entries into them
+/// (CostasProblem::delta_costs_row and evaluate_batch), which build the
+/// kernel context from the model's tables.
 void layer_microbench(Run& run, int n, uint64_t stream) {
   ScopedSpan phase("layers.microbench");
   constexpr int kBoards = 16;
-  std::vector<Board> boards;
-  for (int b = 0; b < kBoards; ++b) boards.emplace_back(random_perm(n, input_seed(run.seed, stream, b)));
-  volatile int64_t sink = 0;
-
-  // The kernel on tables built here must agree with the model's own row
-  // delta; a mismatch means the board layout drifted from the model's.
-  {
-    cas::costas::CostasProblem p(n);
-    p.set_permutation(boards[0].perm);
-    std::vector<int64_t> want(static_cast<size_t>(n)), got(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      p.delta_costs_row(i, want);
-      cas::simd::costas_delta_row(boards[0].ctx(), i, got.data());
-      if (want != got) {
-        run.check("simd board tables disagree with CostasProblem::delta_costs_row");
-        break;
-      }
-    }
+  std::vector<std::vector<int>> starts;
+  std::vector<cas::costas::CostasProblem> boards;
+  for (int b = 0; b < kBoards; ++b) {
+    starts.push_back(random_perm(n, input_seed(run.seed, stream, b)));
+    boards.emplace_back(n);
+    boards.back().set_permutation(starts.back());
   }
+  volatile int64_t sink = 0;
 
   std::vector<int64_t> out(static_cast<size_t>(n));
   constexpr int kRowReps = 400;
@@ -424,43 +401,39 @@ void layer_microbench(Run& run, int n, uint64_t stream) {
     ScopedSpan s("simd.costas_delta_row");
     secs = time_loop([&] {
       for (int r = 0; r < kRowReps; ++r)
-        for (const auto& b : boards) {
-          const auto ctx = b.ctx();
+        for (const auto& b : boards)
           for (int i = 0; i < n; ++i) {
-            cas::simd::costas_delta_row(ctx, i, out.data());
+            b.delta_costs_row(i, out);
             sink = sink + out[static_cast<size_t>((i + 1) % n)];
             ++calls;
           }
-        }
     });
   }
   run.add_layer("simd.delta_row_ns", secs * 1e9 / static_cast<double>(calls), "ns");
   // Computed, not measured: one call walks each checked triangle row once,
-  // visiting the row's n - d pair cells, and reads the occ rows, the
-  // permutation and the row weights.
+  // visiting the row's n - d pair cells, and reads the occ rows (2n - 1
+  // slots each), the permutation and the row weights.
+  const int depth = boards[0].checked_rows();
   double cells = 0;
-  for (int d = 1; d <= boards[0].depth; ++d) cells += n - d;
+  for (int d = 1; d <= depth; ++d) cells += n - d;
   run.add_layer("simd.delta_row_ops", cells, "cells");
   run.add_layer("simd.delta_row_bytes",
-                static_cast<double>(boards[0].depth * boards[0].stride * sizeof(int32_t) +
-                                    n * sizeof(int) + (boards[0].depth + 1) * sizeof(int64_t)),
+                static_cast<double>(depth * (2 * n - 1) * sizeof(int32_t) + n * sizeof(int) +
+                                    (depth + 1) * sizeof(int64_t)),
                 "B");
 
-  // Batched stateless evaluation of 64 candidates, column-major.
+  // Batched stateless evaluation of 64 candidates.
   constexpr int kCands = 64;
-  std::vector<int32_t> values(static_cast<size_t>(n) * kCands);
-  for (int c = 0; c < kCands; ++c) {
-    const auto p = random_perm(n, input_seed(run.seed, stream + 1, c));
-    for (int i = 0; i < n; ++i) values[static_cast<size_t>(i) * kCands + c] = p[static_cast<size_t>(i)];
-  }
+  cas::core::CandidateBatch batch;
+  batch.reset(n, kCands);
+  for (int c = 0; c < kCands; ++c) batch.append(random_perm(n, input_seed(run.seed, stream + 1, c)));
   std::vector<int64_t> costs(kCands);
   constexpr int kBatchReps = 2000;
   {
     ScopedSpan s("simd.costas_evaluate_batch");
     secs = time_loop([&] {
       for (int r = 0; r < kBatchReps; ++r) {
-        cas::simd::costas_evaluate_batch(boards[static_cast<size_t>(r % kBoards)].ctx(), values.data(),
-                                         kCands, kCands, INT64_MAX, costs.data());
+        boards[static_cast<size_t>(r % kBoards)].evaluate_batch(batch, INT64_MAX, costs);
         sink = sink + costs[static_cast<size_t>(r % kCands)];
       }
     });
@@ -468,8 +441,7 @@ void layer_microbench(Run& run, int n, uint64_t stream) {
   run.add_layer("simd.eval_batch_ns_per_cand", secs * 1e9 / (kBatchReps * kCands), "ns");
 
   // Incremental swaps on the model.
-  cas::costas::CostasProblem p(n);
-  p.set_permutation(boards[0].perm);
+  cas::costas::CostasProblem& p = boards[0];
   std::vector<std::pair<int, int>> swaps;
   cas::core::Rng rng(input_seed(run.seed, stream + 2, 0));
   for (int k = 0; k < 4096; ++k) {
@@ -488,14 +460,14 @@ void layer_microbench(Run& run, int n, uint64_t stream) {
   sink = sink + p.cost();
   run.add_layer("costas.apply_swap_ns", secs * 1e9 / (kSwapReps * swaps.size()), "ns");
 
-  // The custom reset from each board state (state restored untimed).
+  // The custom reset from each board's initial state (restored untimed).
   constexpr int kResetReps = 40;
   double reset_secs = 0;
   {
     ScopedSpan s("costas.custom_reset");
     for (int r = 0; r < kResetReps; ++r)
-      for (const auto& b : boards) {
-        p.set_permutation(b.perm);
+      for (const auto& start : starts) {
+        p.set_permutation(start);
         reset_secs += time_loop([&] { sink = sink + (p.custom_reset(rng) ? 1 : 0); });
       }
   }
@@ -518,31 +490,6 @@ struct CoreTotals {
     run.add_layer("core.reset_share", walk_seconds > 0 ? reset_seconds / walk_seconds : 0, "ratio");
   }
 };
-
-/// Every per-layer metric is reported by every traced run; a layer a
-/// workload does not exercise reads 0. This fills the ones not yet set.
-void fill_missing_layers(Run& run) {
-  static const std::vector<std::pair<const char*, const char*>> all = {
-      {"simd.delta_row_ns", "ns"}, {"simd.delta_row_ops", "cells"}, {"simd.delta_row_bytes", "B"},
-      {"simd.eval_batch_ns_per_cand", "ns"}, {"costas.apply_swap_ns", "ns"},
-      {"costas.custom_reset_us", "us"}, {"core.ns_per_iter", "ns"},
-      {"core.iters_per_solve", "iterations"}, {"core.resets_per_solve", "count"},
-      {"core.reset_candidates_per_reset", "count"}, {"core.reset_share", "ratio"},
-      {"par.hunt_overhead_ms", "ms"}, {"par.wasted_iter_share", "ratio"}, {"par.mw_speedup", "x"},
-      {"runtime.cache_p50_us", "us"}, {"runtime.exec_overhead_ms", "ms"},
-      {"runtime.cache_hits", "count"}, {"runtime.executions", "count"}, {"net.edge_p50_us", "us"},
-      {"net.bytes_per_report", "B"}, {"net.frames_per_request", "count"},
-      {"net.backpressure_pauses", "count"}, {"serve.hot_p50_ms", "ms"}, {"serve.hot_p99_ms", "ms"},
-      {"serve.fresh_p50_ms", "ms"}, {"serve.fresh_p99_ms", "ms"},
-      {"dist.overhead_ms_per_wave", "ms"}, {"dist.ckpt_write_ms", "ms"},
-      {"dist.ckpt_write_p50_ms", "ms"}, {"dist.ckpt_bytes_per_wave", "B"},
-      {"dist.frames_per_wave", "count"}, {"dist.bytes_per_wave", "B"}};
-  for (const auto& [name, unit] : all) {
-    const bool have = std::any_of(run.layer.begin(), run.layer.end(),
-                                  [&](const Metric& m) { return m.name == name; });
-    if (!have) run.add_layer(name, 0.0, unit);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // paper
@@ -571,17 +518,28 @@ bool accept_report(Run& run, const cas::runtime::SolveReport& rep, const std::st
   return true;
 }
 
-/// Fixed-work warm-up: a bounded unsolvable hunt on every core.
+/// The fixed-work warm-up that opens every workload's set-up.
 void warm_up(Run& run) {
-  ScopedSpan s("runtime.solve/warmup");
-  cas::runtime::SolveRequest req;
-  req.size = 20;
-  req.strategy = "multiwalk";
-  req.walkers = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  req.seed = 2012;
-  req.max_iterations = 4000;
-  const auto rep = cas::runtime::solve(req);
-  if (!rep.error.empty()) run.check("warm-up: " + rep.error);
+  ScopedSpan phase("runtime.solve/warmup");
+  std::atomic<int> next{0};
+  std::vector<std::thread> workers;
+  std::mutex mu;
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned w = 0; w < cores; ++w)
+    workers.emplace_back([&] {
+      for (int i; (i = next.fetch_add(1)) < kWarmSolves;) {
+        cas::runtime::SolveRequest req;
+        req.size = kWarmOrder;
+        req.strategy = "sequential";
+        req.walkers = 1;
+        req.seed = 2012 + static_cast<uint64_t>(i);
+        req.max_iterations = kWarmIters;
+        const auto rep = cas::runtime::solve(req);
+        std::lock_guard<std::mutex> lock(mu);
+        if (!rep.error.empty()) run.check("warm-up: " + rep.error);
+      }
+    });
+  for (auto& t : workers) t.join();
 }
 
 void run_paper(Run& run) {
@@ -826,6 +784,7 @@ struct ConnResult {
 
 void run_serve(Run& run) {
   EndToEnd m;
+  warm_up(run);
   const fs::path port_file = run.work_dir / "serve.port";
   fs::remove(port_file);
   Child server({(run.bin_dir / "cas_serve").string(), "--port=0", "--port-file=" + port_file.string(),
@@ -1082,9 +1041,10 @@ void run_dist(Run& run) {
   EndToEnd m;
   CoreTotals core;
   core.solved_walks = false;
-  double frames = 0, bytes = 0, ckpt_p50 = 0, cut_bytes = 0, heavy_waves = 0;
+  double frames = 0, bytes = 0, ckpt_p50 = 0, cut_bytes = 0, heavy_waves = 0, heavy_worlds = 0;
   std::vector<double> wave_overhead_s;
   Json last_payload;
+  warm_up(run);
   const double t_begin = now_s();
   const double deadline = t_begin + run.seconds;
   int pair = 0;
@@ -1092,8 +1052,8 @@ void run_dist(Run& run) {
   do {
     const uint64_t seed = input_seed(run.seed, 4, static_cast<uint64_t>(pair));
     World heavy = run_world(run, kDistHeavyRanks, seed, 2 * pair, pair == 0);
-    // Set-up: until the first world's ranks have rendezvoused and cut
-    // their first durable checkpoint (one wave).
+    // Set-up: the warm-up, then until the first world's ranks have
+    // rendezvoused and cut their first durable checkpoint (one wave).
     if (pair == 0) m.setup_s = heavy.first_cut_s;
     World light = run_world(run, kDistLightRanks, seed, 2 * pair + 1, false);
     for (World* w : {&heavy, &light}) {
@@ -1125,6 +1085,7 @@ void run_dist(Run& run) {
         bytes += comm.at("bytes_sent").as_number() + comm.at("bytes_received").as_number();
         ckpt_p50 += d.at("ckpt").at("write_latency").at("p50_seconds").as_number();
         heavy_waves += waves;
+        heavy_worlds += 1;
       }
     }
     if (!heavy.report.at("solved").as_bool() && !light.report.at("solved").as_bool()) {
@@ -1174,8 +1135,7 @@ void run_dist(Run& run) {
       }
     }
     run.add_layer("dist.ckpt_write_ms", quantile(writes, 0.5) * 1e3, "ms");
-    const double heavy_worlds = static_cast<double>(m.heavy_s.size());
-    run.add_layer("dist.ckpt_write_p50_ms", ckpt_p50 / heavy_worlds * 1e3, "ms");
+    run.add_layer("dist.ckpt_write_p50_ms", heavy_worlds > 0 ? ckpt_p50 / heavy_worlds * 1e3 : 0, "ms");
     run.add_layer("dist.ckpt_bytes_per_wave", cut_bytes, "B");
     run.add_layer("dist.frames_per_wave", heavy_waves > 0 ? frames / heavy_waves : 0, "count");
     run.add_layer("dist.bytes_per_wave", heavy_waves > 0 ? bytes / heavy_waves : 0, "B");
@@ -1300,6 +1260,7 @@ int main(int argc, char** argv) {
   signal(SIGINT, on_terminate);
   g_tracer.on = run.trace;
   try {
+    if (run.seconds <= 0) throw std::invalid_argument("--seconds must be given and positive");
     fs::create_directories(run.work_dir);
     if (workload == "paper") run_paper(run);
     else if (workload == "serve") run_serve(run);
@@ -1314,7 +1275,6 @@ int main(int argc, char** argv) {
                 fmt_value(m.value).c_str(), m.unit.c_str());
   if (run.trace) {
     std::printf("trace: %zu spans\n", g_tracer.size());
-    fill_missing_layers(run);
     for (const auto& m : run.layer)
       std::printf("layer %s %s %s\n", m.name.c_str(), fmt_value(m.value).c_str(), m.unit.c_str());
     g_tracer.write(run.work_dir.parent_path() /

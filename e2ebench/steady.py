@@ -5,12 +5,13 @@ Runs every workload repeatedly, one seed per round and the workload order
 rotated each round, then reports for each end-to-end metric its median,
 quartiles and spread (inter-quartile distance / median) against the bound
 in BENCHMARK.json. A metric is steady when its spread stays below a third
-of its bound; setup_s is reported but, being one cold set-up per run,
-is judged by its median only. With --traced N it also makes N traced
-runs per workload and reports the per-layer medians and the tracing
-overhead (traced against untraced end-to-end medians).
+of its bound, and within its bound when below the bound itself. With
+--traced N it also makes N traced runs per workload and reports the
+per-layer medians and the tracing overhead (traced against untraced
+end-to-end medians). The report is written to .bench_out/steady.json; the
+exit code is 0 only when every metric on every workload is steady.
 
-    python3 e2ebench/steady.py --runs 10 --seed 100 --traced 1
+    python3 e2ebench/steady.py --runs 10 --seed 101 --traced 2
 """
 import argparse
 import json
@@ -56,16 +57,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--runs", type=int, default=10, help="untraced runs per workload")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first round")
-    ap.add_argument("--workloads", default=None, help="comma-separated subset")
     ap.add_argument("--traced", type=int, default=0, help="traced runs per workload")
-    ap.add_argument("--out", default=os.path.join(ROOT, ".bench_out", "steady.json"))
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     workloads = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
     e2e = {m["name"]: m for m in bench["end_to_end"]}
     layer_names = {m["name"] for m in bench["per_layer"]}
     seconds = bench["run_seconds"]
@@ -102,13 +99,12 @@ def main():
             if len(runs[w]) < 2:
                 continue
             s = summary([r["metrics"][name]["value"] for r in runs[w]])
-            if name == "setup_s":
-                verdict = "median only"
-            elif s["spread"] < spec["bound"] / 3:
+            if s["spread"] < spec["bound"] / 3:
                 verdict = "steady"
             else:
-                verdict = "UNSTEADY"
+                verdict = "within bound" if s["spread"] < spec["bound"] else "OUT OF BOUND"
                 steady = False
+            s["verdict"] = verdict
             if traced[w]:
                 t = statistics.median(tr[name] for _, tr in traced[w])
                 s["traced_median"] = t
@@ -126,10 +122,11 @@ def main():
                 print("    %-34s %.6g %s" % (name, v, traced[w][0][0]["metrics"][name]["unit"]))
         report["workloads"][w] = {"correct": correct, "failed_shares": shares, "end_to_end": rows,
                                   "per_layer_medians": layers}
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as f:
+    out = os.path.join(ROOT, ".bench_out", "steady.json")
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with open(out, "w") as f:
         json.dump(report, f, indent=1)
-    print("\nwrote %s; %s" % (args.out, "all steady" if steady else "NOT all steady"))
+    print("\nwrote %s; %s" % (out, "all steady" if steady else "NOT all steady"))
     sys.exit(0 if steady else 1)
 
 
